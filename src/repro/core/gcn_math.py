@@ -13,6 +13,13 @@ adopts (compute ``X W`` first when the input dimension is larger):
   or
     Z^l = A_local @ (H_cat @ W) + b                   [transform-first]
 
+The first layer's input ``H_cat^0 = [X; X_halo]`` is constant when the
+halo features are cached, so its aggregation ``M^1`` is too: callers
+pass it in precomputed (``layer_forward(..., aggregated=M^1)``). The
+aggregate-first ordering then skips the SpMM; the transform-first one
+still computes ``A_local @ (H_cat @ W)`` (the cheaper product changes
+float rounding) but carries ``M^1`` for the weight gradient.
+
 Backward (Eq. 4-6), using that the graphs here are symmetric so
 ``A^T = A``:
 
@@ -40,9 +47,10 @@ class LayerForwardCache:
     """Per-layer forward state a worker keeps for the backward pass.
 
     Attributes:
-        aggregated: ``M^l = A_local @ H_cat`` — only stored when the
-            aggregate-first ordering ran; ``None`` under transform-first
-            (the weight gradient then uses ``h_cat`` instead).
+        aggregated: ``M^l = A_local @ H_cat`` — stored when the
+            aggregate-first ordering ran or the caller passed it in
+            precomputed (the constant first hop); otherwise ``None``
+            and the weight gradient recomputes it from ``h_cat``.
         h_cat: The concatenated input ``H_cat^{l-1}`` (local + halo rows).
         pre_activation: ``Z^l`` for the local vertices.
         output: ``H^l`` for the local vertices.
@@ -64,6 +72,7 @@ def layer_forward(
     activation: Activation,
     is_last: bool,
     transform_first: bool | None = None,
+    aggregated: np.ndarray | None = None,
 ) -> LayerForwardCache:
     """Run one GCN layer on a worker's local vertices.
 
@@ -76,6 +85,10 @@ def layer_forward(
             logits go straight into softmax cross-entropy.
         transform_first: Force an ordering; ``None`` picks the cheaper one
             (``d_in > d_out`` => transform first), mirroring DGL.
+        aggregated: Precomputed ``a_local @ h_cat`` (the constant first
+            hop). Aggregate-first uses it instead of the SpMM;
+            transform-first keeps its own product order and only carries
+            it in the cache for :func:`weight_gradient`.
     """
     d_in, d_out = weight.shape
     if h_cat.shape[1] != d_in:
@@ -87,9 +100,9 @@ def layer_forward(
 
     if transform_first:
         z = a_local @ (h_cat @ weight)
-        aggregated = None
     else:
-        aggregated = a_local @ h_cat
+        if aggregated is None:
+            aggregated = a_local @ h_cat
         z = aggregated @ weight
     if bias is not None:
         z = z + bias
@@ -136,10 +149,10 @@ def weight_gradient(
 ) -> np.ndarray:
     """Worker-local share of ``Y^{l-1} = (A H^{l-1})^T G^l`` (Eq. 6).
 
-    Under aggregate-first the forward cached ``M^l = A_local H_cat``
-    directly; under transform-first it is recomputed sparsely here. The
-    full gradient is the sum of these shares across workers, which the
-    parameter servers perform.
+    Uses the forward cache's ``M^l = A_local H_cat`` when it holds one
+    (aggregate-first, or a precomputed first hop); a transform-first
+    layer without one recomputes it sparsely here. The full gradient is the sum of these shares across workers,
+    which the parameter servers perform.
     """
     aggregated = cache.aggregated
     if aggregated is None:

@@ -9,7 +9,8 @@ Each worker owns a partition of the vertices and keeps:
 * the request plan: which vertex rows it needs from each remote owner and
   where they scatter into its halo buffer, plus the serve plan for the
   symmetric direction,
-* the forward caches (``H``, ``Z``, ``A H``) needed by the backward pass.
+* the forward caches (``H``, ``Z``, ``A H``) needed by the backward pass,
+* the first-hop cache: the constant layer-1 operands, built once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,47 @@ from repro.graph.store.base import GraphStore, GraphStoreBundle, as_bundle
 from repro.graph.subgraph import LocalSubgraph, induced_subgraph
 from repro.partition.base import Partition
 
-__all__ = ["WorkerState", "build_worker_states"]
+__all__ = ["FirstHopCache", "WorkerState", "build_worker_states"]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class FirstHopCache:
+    """One worker's constant layer-1 operands.
+
+    With the halo features cached (``cache_first_hop``), layer 1's input
+    ``X_cat = [X; X_halo]`` never changes, and neither does its
+    aggregation ``M^1 = A^1 X_cat`` (Eq. 2). Both are built on first use
+    and kept read-only. ``X_cat`` is keyed by the identity of the halo
+    feature array and ``M^1`` by that of the layer-1 adjacency, so any
+    path that replaces either array (a crash refetch, a partition
+    adoption, a resample, a respawned worker process) invalidates them
+    without a hook.
+    """
+
+    def __init__(
+        self, features: np.ndarray, halo_features: np.ndarray
+    ) -> None:
+        self.halo_features = halo_features
+        self.h_cat = _read_only(
+            np.concatenate([features, halo_features], axis=0)
+        )
+        self.adjacency: csr_matrix | None = None
+        self._aggregated: np.ndarray | None = None
+
+    def aggregated(self, adjacency: csr_matrix) -> np.ndarray:
+        """``M^1 = adjacency @ X_cat``, computed once per adjacency."""
+        if self._aggregated is None or adjacency is not self.adjacency:
+            self._aggregated = _read_only(adjacency @ self.h_cat)
+            self.adjacency = adjacency
+        return self._aggregated
+
+    def built_aggregated(self, adjacency: csr_matrix) -> np.ndarray | None:
+        """``M^1`` if it is already built for ``adjacency``, else None."""
+        return self._aggregated if adjacency is self.adjacency else None
 
 
 @dataclass
@@ -44,6 +85,9 @@ class WorkerState:
         serves: requester -> local row indices this worker ships to it.
         caches: Forward caches per layer (index 0 unused).
         grad_rows: ``G^l`` rows for the local vertices, per layer.
+        halo_features: The cached first-hop halo features (None when
+            ``cache_first_hop`` is off).
+        first_hop_cache: See :meth:`first_hop`.
     """
 
     worker_id: int
@@ -60,6 +104,7 @@ class WorkerState:
     caches: list[LayerForwardCache | None] = field(default_factory=list)
     grad_rows: list[np.ndarray | None] = field(default_factory=list)
     halo_features: np.ndarray | None = None
+    first_hop_cache: FirstHopCache | None = field(default=None, repr=False)
 
     @property
     def num_local(self) -> int:
@@ -86,6 +131,19 @@ class WorkerState:
             raise RuntimeError(f"layer {layer} has not run forward yet")
         return cache.output
 
+    def first_hop(self) -> FirstHopCache:
+        """The constant first hop's operands, rebuilt whenever
+        :attr:`halo_features` has been replaced since the last build."""
+        cache = self.first_hop_cache
+        if cache is None or cache.halo_features is not self.halo_features:
+            if self.halo_features is None:
+                raise RuntimeError(
+                    f"worker {self.worker_id} has no cached halo features"
+                )
+            cache = FirstHopCache(self.features, self.halo_features)
+            self.first_hop_cache = cache
+        return cache
+
     def reset_iteration(self, num_layers: int) -> None:
         """Clear per-iteration caches before a new forward pass."""
         self.caches = [None] * (num_layers + 1)
@@ -98,7 +156,9 @@ class WorkerState:
         request/serve plans) rebuilds from local storage, but the forward
         caches, gradient rows and the first-hop halo-feature cache lived
         in memory only — recovery must refetch the halo features from
-        the owning workers (see ``ECGraphTrainer._recover_workers``).
+        the owning workers (see ``RecoveryManager.recover_workers``).
+        The refetched array replaces :attr:`halo_features`, which is
+        what makes :meth:`first_hop` rebuild the layer-1 operands.
         """
         self.reset_iteration(num_layers)
         self.halo_features = None

@@ -15,8 +15,12 @@ auxiliary structures) and then answers the stage's questions:
 * ``layer_param_names`` — which server parameters a layer pulls;
 * ``layer_input`` / ``layer_output`` — local embedding rows feeding and
   produced by a layer (the exchange serves ``layer_output`` rows);
-* ``forward_layer`` — one local layer kernel (runs inside the worker's
-  compute clock; stores whatever cache the backward pass needs);
+* ``forward_layer`` — one local layer kernel over the layer's input rows
+  and the fetched halo (runs inside the worker's compute clock; stores
+  whatever cache the backward pass needs). The constant first hop's
+  operands come from the worker's
+  :class:`~repro.core.worker.FirstHopCache`, so neither the stages nor
+  the executors know which layer is the first hop;
 * ``final_logits`` — the classification outputs after the last layer;
 * ``backward_layer`` — one layer of the backward pass, including any
   gradient halo exchange it needs (GCN/SAGE fetch gradient halos
@@ -62,6 +66,24 @@ __all__ = [
 ]
 
 
+def _first_hop_aggregate(
+    state: WorkerState,
+    h_cat: np.ndarray,
+    adjacency: csr_matrix,
+    *,
+    build: bool = True,
+) -> np.ndarray | None:
+    """``M^1 = adjacency @ h_cat`` from the worker's first-hop cache when
+    ``h_cat`` is the cached first hop (None otherwise). ``build=False``
+    only reads an ``M^1`` already built for ``adjacency``."""
+    hop = state.first_hop_cache
+    if hop is None or h_cat is not hop.h_cat:
+        return None
+    if build:
+        return hop.aggregated(adjacency)
+    return hop.built_aggregated(adjacency)
+
+
 @runtime_checkable
 class ModelBackend(Protocol):
     """What the staged engine needs from a model architecture."""
@@ -100,12 +122,13 @@ class ModelBackend(Protocol):
     def forward_layer(
         self,
         state: WorkerState,
-        h_cat: np.ndarray,
+        halo: np.ndarray,
         pulled: dict[str, np.ndarray],
         layer: int,
         is_last: bool,
     ) -> None:
-        """One local layer kernel; caches whatever backward needs."""
+        """One local layer kernel over ``[layer_input; halo]``; caches
+        whatever backward needs."""
 
     def final_logits(self, state: WorkerState) -> np.ndarray:
         """Classification logits for the worker's local vertices."""
@@ -142,12 +165,14 @@ class ModelBackend(Protocol):
     def eval_layer(
         self,
         state: WorkerState,
-        h_cat: np.ndarray,
+        local: np.ndarray,
+        halo: np.ndarray,
         params: dict[str, np.ndarray],
         layer: int,
         is_last: bool,
     ) -> np.ndarray:
-        """Exact-inference layer output (full adjacency, no caching)."""
+        """Exact-inference layer output over ``[local; halo]`` (full
+        adjacency; only the constant first hop is cached)."""
 
 
 class _BackendBase:
@@ -199,6 +224,19 @@ class _BackendBase:
     ) -> dict[tuple[int, int], np.ndarray] | None:
         del layer, direction
         return None
+
+    def input_cat(
+        self, state: WorkerState, local: np.ndarray, halo: np.ndarray
+    ) -> np.ndarray:
+        """``[local; halo]``, the rows a layer kernel aggregates over.
+
+        The first hop (the worker's own features next to its cached halo
+        features) is constant, so it comes from the worker's first-hop
+        cache instead of a fresh concatenation.
+        """
+        if local is state.features and halo is state.halo_features:
+            return state.first_hop().h_cat
+        return np.concatenate([local, halo], axis=0)
 
     # ------------------------------------------------------------------
     # Kernel-state shipping (multi-process executor)
@@ -299,20 +337,23 @@ class GCNBackend(_BackendBase):
     def forward_layer(
         self,
         state: WorkerState,
-        h_cat: np.ndarray,
+        halo: np.ndarray,
         pulled: dict[str, np.ndarray],
         layer: int,
         is_last: bool,
     ) -> None:
         ctx = self.ctx
+        adjacency = self.adjacency(state, layer)
+        h_cat = self.input_cat(state, self.layer_input(state, layer), halo)
         state.caches[layer] = layer_forward(
-            self.adjacency(state, layer),
+            adjacency,
             h_cat,
             pulled[weight_name(layer - 1)],
             pulled.get(bias_name(layer - 1)),
             ctx.params.activation,
             is_last=is_last,
             transform_first=(None if ctx.config.transform_first else False),
+            aggregated=_first_hop_aggregate(state, h_cat, adjacency),
         )
 
     def final_logits(self, state: WorkerState) -> np.ndarray:
@@ -360,13 +401,18 @@ class GCNBackend(_BackendBase):
     def eval_layer(
         self,
         state: WorkerState,
-        h_cat: np.ndarray,
+        local: np.ndarray,
+        halo: np.ndarray,
         params: dict[str, np.ndarray],
         layer: int,
         is_last: bool,
     ) -> np.ndarray:
         # Exact inference always aggregates over the full local
-        # adjacency (not a sampled one) with default kernel ordering.
+        # adjacency (not a sampled one) with default kernel ordering. It
+        # reuses the first hop's M^1 when training built it for the same
+        # adjacency, and never builds one itself: under sampling that
+        # would evict the sampled adjacency's M^1.
+        h_cat = self.input_cat(state, local, halo)
         return layer_forward(
             state.a_local,
             h_cat,
@@ -374,6 +420,9 @@ class GCNBackend(_BackendBase):
             params.get(bias_name(layer - 1)),
             self.ctx.params.activation,
             is_last=is_last,
+            aggregated=_first_hop_aggregate(
+                state, h_cat, state.a_local, build=False
+            ),
         ).output
 
 
@@ -651,14 +700,14 @@ class SAGEBackend(_BackendBase):
     def forward_layer(
         self,
         state: WorkerState,
-        h_cat: np.ndarray,
+        halo: np.ndarray,
         pulled: dict[str, np.ndarray],
         layer: int,
         is_last: bool,
     ) -> None:
         self.caches[state.worker_id][layer] = self.sage_layer_forward(
             state,
-            h_cat,
+            self.input_cat(state, self.layer_input(state, layer), halo),
             pulled[self_weight_name(layer - 1)],
             pulled[weight_name(layer - 1)],
             pulled.get(bias_name(layer - 1)),
@@ -715,14 +764,15 @@ class SAGEBackend(_BackendBase):
     def eval_layer(
         self,
         state: WorkerState,
-        h_cat: np.ndarray,
+        local: np.ndarray,
+        halo: np.ndarray,
         params: dict[str, np.ndarray],
         layer: int,
         is_last: bool,
     ) -> np.ndarray:
         return self.sage_layer_forward(
             state,
-            h_cat,
+            self.input_cat(state, local, halo),
             params[self_weight_name(layer - 1)],
             params[weight_name(layer - 1)],
             params.get(bias_name(layer - 1)),
@@ -938,11 +988,12 @@ class GATBackend(_BackendBase):
     def forward_layer(
         self,
         state: WorkerState,
-        h_cat: np.ndarray,
+        halo: np.ndarray,
         pulled: dict[str, np.ndarray],
         layer: int,
         is_last: bool,
     ) -> None:
+        h_cat = self.input_cat(state, self.layer_input(state, layer), halo)
         self.caches[state.worker_id][layer] = self.gat_layer_forward(
             state.worker_id, h_cat, pulled, layer, is_last=is_last
         )
@@ -1053,11 +1104,13 @@ class GATBackend(_BackendBase):
     def eval_layer(
         self,
         state: WorkerState,
-        h_cat: np.ndarray,
+        local: np.ndarray,
+        halo: np.ndarray,
         params: dict[str, np.ndarray],
         layer: int,
         is_last: bool,
     ) -> np.ndarray:
         return self.gat_layer_forward(
-            state.worker_id, h_cat, params, layer, is_last=is_last
+            state.worker_id, self.input_cat(state, local, halo), params,
+            layer, is_last=is_last,
         ).output

@@ -16,6 +16,8 @@ Everything *between* the kernels — parameter pulls, the exchange
 policies and their compensation state, fault injection, traffic
 metering, the Bit-Tuner — always stays on the supervisor, which is why
 the two executors produce bit-identical loss curves and traffic totals.
+Both run the same kernels: the backend's per-layer methods and
+:func:`loss_kernel`.
 
 The seam's row accessors (:meth:`SyncExecutor.layer_rows`,
 ``grad_rows``, ``bp_halo_rows``) are how exchanges source the rows a
@@ -38,7 +40,32 @@ if TYPE_CHECKING:
     from repro.engine.backends import ModelBackend
     from repro.engine.context import ExchangeContext
 
-__all__ = ["SyncExecutor"]
+__all__ = ["SyncExecutor", "loss_kernel"]
+
+
+def loss_kernel(
+    state: WorkerState, logits: np.ndarray, global_train_count: int
+) -> tuple[float, np.ndarray, dict[str, list[int]]]:
+    """Softmax cross-entropy on one worker's final logits.
+
+    Returns the worker's loss term, the ``G^L`` seed rows and its
+    ``[correct, count]`` per split. Loss and gradient are scaled by the
+    worker's share of the *global* train count: ``result.grad`` is a
+    mean over the local train vertices, and rescaling it to a global
+    mean makes the sum of the workers' pushes exact.
+    """
+    result = softmax_cross_entropy(logits, state.labels, state.train_mask)
+    local = int(state.train_mask.sum())
+    scale = local / global_train_count if local else 0.0
+    counters = {"train": [result.correct, result.count]}
+    predictions = logits.argmax(axis=1)
+    for split, mask in (("val", state.val_mask), ("test", state.test_mask)):
+        counters[split] = [
+            int((predictions[mask] == state.labels[mask]).sum()),
+            int(mask.sum()),
+        ]
+    grad = (result.grad * scale).astype(np.float32)
+    return result.loss * scale, grad, counters
 
 
 class SyncExecutor:
@@ -82,11 +109,9 @@ class SyncExecutor:
         ctx, backend = self._bound()
         for state in ctx.active_workers():
             i = state.worker_id
-            prev = backend.layer_input(state, layer)
             with ctx.runtime.worker_compute(i):
-                h_cat = np.concatenate([prev, halos[i]], axis=0)
                 backend.forward_layer(
-                    state, h_cat, pulled[i], layer, is_last=is_last
+                    state, halos[i], pulled[i], layer, is_last=is_last
                 )
 
     def loss_scan(self, t: int) -> tuple[float, dict[str, list[int]]]:
@@ -94,37 +119,19 @@ class SyncExecutor:
         gradient rows (scaled by the global train count)."""
         del t
         ctx, backend = self._bound()
-        num_layers = ctx.params.num_layers
         counters = {"train": [0, 0], "val": [0, 0], "test": [0, 0]}
         total_loss = 0.0
         for state in ctx.active_workers():
             logits = backend.final_logits(state)
             with ctx.runtime.worker_compute(state.worker_id):
-                result = softmax_cross_entropy(
-                    logits, state.labels, state.train_mask
+                loss_term, grad, worker_counters = loss_kernel(
+                    state, logits, ctx.global_train_count
                 )
-                local = int(state.train_mask.sum())
-                scale = (
-                    local / ctx.global_train_count if local else 0.0
-                )
-                # result.grad is a mean over local train vertices;
-                # rescale to a global mean so summing worker pushes is
-                # exact.
-                state.grad_rows[num_layers] = (
-                    result.grad * scale
-                ).astype(np.float32)
-                total_loss += result.loss * scale
-                counters["train"][0] += result.correct
-                counters["train"][1] += result.count
-                predictions = logits.argmax(axis=1)
-                for split, mask in (
-                    ("val", state.val_mask),
-                    ("test", state.test_mask),
-                ):
-                    counters[split][0] += int(
-                        (predictions[mask] == state.labels[mask]).sum()
-                    )
-                    counters[split][1] += int(mask.sum())
+            state.grad_rows[ctx.params.num_layers] = grad
+            total_loss += loss_term
+            for split in counters:
+                counters[split][0] += worker_counters[split][0]
+                counters[split][1] += worker_counters[split][1]
         return total_loss, counters
 
     # ------------------------------------------------------------------

@@ -221,17 +221,16 @@ class EvalStage(Stage):
                     category="eval",
                     dim=outputs[0].shape[1],
                 )
-            new_outputs = []
-            for state in ctx.workers:
-                h_cat = np.concatenate(
-                    [outputs[state.worker_id], halos[state.worker_id]],
-                    axis=0,
+            # Layer 1 under cache_first_hop is the same [X; X_halo] the
+            # training forward uses: the backend reads it (and GCN's M^1)
+            # from the worker's first-hop cache.
+            outputs = [
+                backend.eval_layer(
+                    state, outputs[state.worker_id], halos[state.worker_id],
+                    params, layer, is_last=(layer == num_layers),
                 )
-                new_outputs.append(backend.eval_layer(
-                    state, h_cat, params, layer,
-                    is_last=(layer == num_layers),
-                ))
-            outputs = new_outputs
+                for state in ctx.workers
+            ]
 
         metrics = {}
         for split, mask_of in (

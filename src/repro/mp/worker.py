@@ -12,9 +12,10 @@ by address-space snapshot. From then on the only things that flow in are:
   exchange scatter; layer outputs / gradient rows / dH partials written
   back by the worker for the supervisor's exchanges to serve).
 
-The worker runs only the pure per-layer kernels (the exact same
-:class:`~repro.engine.backends.ModelBackend` methods the inline
-executor calls); every policy, fault, metering and tuner decision stays
+The worker runs only the pure kernels (the exact same
+:class:`~repro.engine.backends.ModelBackend` methods and
+:func:`~repro.engine.executor.loss_kernel` the inline executor calls);
+every policy, fault, metering and tuner decision stays
 on the supervisor, which is what keeps multiprocess runs bit-identical
 to sync. Kernel wall time is measured here — kernel only, shared-memory
 copies excluded — and shipped back for the supervisor to charge to the
@@ -34,8 +35,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.engine.executor import loss_kernel
 from repro.mp.store import SharedStore, disarm_inherited_stores
-from repro.nn.losses import softmax_cross_entropy
 from repro.obs.tracing import monotonic_now
 
 if TYPE_CHECKING:
@@ -57,7 +58,9 @@ def _resolve_halo(
         return store.attach(ref[1])
     if kind == "own":
         # The cached first-hop features, inherited at fork (and current:
-        # crash recovery respawns the process after rebuilding them).
+        # crash recovery respawns the process after rebuilding them). The
+        # backend recognizes this array and serves layer 1 from the
+        # worker's first-hop cache, built once in this process.
         return state.halo_features
     # "data": small/irregular rows shipped inline over the pipe.
     return ref[1]
@@ -76,10 +79,8 @@ def _dispatch(
     if op == "fwd":
         _, layer, is_last, pulled, halo_ref, h_block = msg
         halo = _resolve_halo(halo_ref, state, store)
-        prev = backend.layer_input(state, layer)
         start = monotonic_now()
-        h_cat = np.concatenate([prev, halo], axis=0)
-        backend.forward_layer(state, h_cat, pulled, layer, is_last=is_last)
+        backend.forward_layer(state, halo, pulled, layer, is_last=is_last)
         wall = monotonic_now() - start
         if h_block is not None:
             np.copyto(store.attach(h_block),
@@ -90,30 +91,11 @@ def _dispatch(
         _, g_block = msg
         logits = backend.final_logits(state)
         start = monotonic_now()
-        result = softmax_cross_entropy(
-            logits, state.labels, state.train_mask
+        loss_term, grad, counters = loss_kernel(
+            state, logits, ctx.global_train_count
         )
-        local = int(state.train_mask.sum())
-        scale = local / ctx.global_train_count if local else 0.0
-        state.grad_rows[num_layers] = (
-            result.grad * scale
-        ).astype(np.float32)
-        loss_term = result.loss * scale
-        counters = {
-            "train": [result.correct, result.count],
-            "val": [0, 0],
-            "test": [0, 0],
-        }
-        predictions = logits.argmax(axis=1)
-        for split, mask in (
-            ("val", state.val_mask),
-            ("test", state.test_mask),
-        ):
-            counters[split][0] = int(
-                (predictions[mask] == state.labels[mask]).sum()
-            )
-            counters[split][1] = int(mask.sum())
         wall = monotonic_now() - start
+        state.grad_rows[num_layers] = grad
         if g_block is not None:
             np.copyto(store.attach(g_block), state.grad_rows[num_layers])
         return (loss_term, counters), wall
