@@ -2,9 +2,10 @@
 
 Three levels of the same hot path, so a regression can be localized:
 
-* ``kernels`` — ``pack_bits`` / ``unpack_bits`` per bit width, new
-  kernels against the bit-matrix references
-  (:mod:`repro.bench.reference`), in ns/element;
+* ``kernels`` — ``pack_bits`` / ``unpack_bits`` per bit width, and
+  ``quantize`` / ``dequantize`` (a whole ``BucketQuantizer.encode`` /
+  ``QuantizedMatrix.decode``) per supported width, new kernels against
+  the original formulas (:mod:`repro.bench.reference`), in ns/element;
 * ``exchange`` — one full halo exchange through the unified transport
   layer (:class:`~repro.engine.transport.HaloTransport`, via its
   :class:`~repro.core.nac.NeighborAccessController` facade) under
@@ -26,15 +27,28 @@ import resource
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro.bench.harness import SCHEMA, best_seconds
-from repro.bench.reference import pack_bits_reference, unpack_bits_reference
+from repro.bench.reference import (
+    decode_reference,
+    encode_ids_reference,
+    pack_bits_reference,
+    unpack_bits_reference,
+)
 from repro.cluster.engine import ClusterRuntime
 from repro.cluster.topology import ClusterSpec
-from repro.compression.quantization import pack_bits, unpack_bits
+from repro.compression import quantization
+from repro.compression.quantization import (
+    SUPPORTED_BITS,
+    BucketQuantizer,
+    QuantizedMatrix,
+    pack_bits,
+    unpack_bits,
+)
 from repro.core.nac import NeighborAccessController
 from repro.core.policies import CompressPolicy
 from repro.core.worker import build_worker_states
@@ -81,11 +95,42 @@ def peak_rss_bytes() -> int:
     return peak if sys.platform == "darwin" else peak * 1024
 
 
+@contextmanager
+def reference_codec():
+    """Run the block with the original codec formulas swapped back in.
+
+    Covers every kernel the codec rewrites replaced — bit packing,
+    bucket-id computation and decoding — so a run inside the block is
+    the true "before" of those rewrites on identical everything else.
+    """
+    originals = (
+        quantization.pack_bits, quantization.unpack_bits,
+        BucketQuantizer.encode_ids, QuantizedMatrix.decode,
+    )
+    quantization.pack_bits = pack_bits_reference
+    quantization.unpack_bits = unpack_bits_reference
+    BucketQuantizer.encode_ids = encode_ids_reference
+    QuantizedMatrix.decode = decode_reference
+    try:
+        yield
+    finally:
+        (
+            quantization.pack_bits, quantization.unpack_bits,
+            BucketQuantizer.encode_ids, QuantizedMatrix.decode,
+        ) = originals
+
+
 def bench_codec(params: dict, metrics: MetricsRegistry) -> dict:
-    """Time pack/unpack per width, new kernels vs references."""
+    """Time the codec kernels per width, new kernels vs references.
+
+    ``quantize`` is a whole ``encode`` (bucket ids plus packing) of a
+    float32 matrix of 64-wide rows and ``dequantize`` its ``decode``;
+    both run at the widths ``BucketQuantizer`` supports.
+    """
     kernels: dict[str, dict] = {}
     rng = np.random.default_rng(7)
     n = params["elements"]
+    matrix = rng.standard_normal((n // 64, 64)).astype(np.float32)
     for bits in params["widths"]:
         ids = rng.integers(0, 1 << bits, size=n, dtype=np.uint32)
         packed = pack_bits(ids, bits)
@@ -93,20 +138,37 @@ def bench_codec(params: dict, metrics: MetricsRegistry) -> dict:
             f"pack_bits[bits={bits}]": (
                 lambda ids=ids, bits=bits: pack_bits(ids, bits),
                 lambda ids=ids, bits=bits: pack_bits_reference(ids, bits),
+                n,
             ),
             f"unpack_bits[bits={bits}]": (
                 lambda packed=packed, bits=bits: unpack_bits(packed, bits, n),
                 lambda packed=packed, bits=bits: (
                     unpack_bits_reference(packed, bits, n)
                 ),
+                n,
             ),
         }
-        for name, (new, reference) in cases.items():
+        if bits in SUPPORTED_BITS:
+            quantizer = BucketQuantizer(bits)
+            encoded = quantizer.encode(matrix)
+            cases[f"quantize[bits={bits}]"] = (
+                lambda q=quantizer: q.encode(matrix),
+                lambda q=quantizer, bits=bits: pack_bits_reference(
+                    encode_ids_reference(q, matrix)[0], bits
+                ),
+                matrix.size,
+            )
+            cases[f"dequantize[bits={bits}]"] = (
+                encoded.decode,
+                lambda encoded=encoded: decode_reference(encoded),
+                matrix.size,
+            )
+        for name, (new, reference, count) in cases.items():
             new_s = best_seconds(new, repeats=params["repeats"])
             ref_s = best_seconds(reference, repeats=params["repeats"])
             entry = {
-                "ns_per_element": new_s / n * 1e9,
-                "reference_ns_per_element": ref_s / n * 1e9,
+                "ns_per_element": new_s / count * 1e9,
+                "reference_ns_per_element": ref_s / count * 1e9,
                 "speedup_vs_reference": ref_s / new_s if new_s > 0 else 0.0,
             }
             kernels[name] = entry
@@ -223,28 +285,22 @@ def _stage_profile(graph, epochs: int) -> dict:
 def bench_epoch(params: dict, metrics: MetricsRegistry) -> dict:
     """Measured (not modelled) wall seconds per training epoch.
 
-    ``reference_codec`` runs the same trainer with the old bit-matrix
-    pack/unpack kernels swapped back in — the true "before" of the
-    codec rewrite, on identical everything else. ``default`` is the
-    shipped configuration; ``optimized`` adds the buffer pool and the
-    thread fan-out (which only pays off with spare cores). ``stages``
+    ``reference_codec`` runs the same trainer with the original codec
+    formulas swapped back in (:func:`reference_codec`) — the true
+    "before" of the codec rewrites, on identical everything else.
+    ``default`` is the shipped configuration; ``optimized`` adds the
+    buffer pool and the thread fan-out (which only pays off with spare
+    cores). ``stages``
     attributes the default configuration's epoch to the five engine
     stages (per-epoch wall seconds, profiler-measured), so a
     ``--compare`` regression can be localized to the stage that moved.
     """
-    from repro.compression import quantization
-
     graph = load_dataset("cora", profile=params["profile"], seed=3)
     epochs = params["epochs"]
     results = {}
 
-    originals = (quantization.pack_bits, quantization.unpack_bits)
-    quantization.pack_bits = pack_bits_reference
-    quantization.unpack_bits = unpack_bits_reference
-    try:
+    with reference_codec():
         results["reference_codec_seconds"] = _epoch_seconds(graph, {}, epochs)
-    finally:
-        quantization.pack_bits, quantization.unpack_bits = originals
 
     results["default_seconds"] = _epoch_seconds(graph, {}, epochs)
     results["optimized_seconds"] = _epoch_seconds(

@@ -16,15 +16,24 @@ Two table modes are provided:
   the midpoints — an obvious engineering refinement used by the
   ablation benchmarks.
 
-The bit-packing kernels are pure arithmetic: widths that divide a byte
-pack by shifting groups of values into byte lanes, 8/16-bit widths
-reinterpret the integer buffer directly, and irregular widths tree-merge
-adjacent fields (b -> 2b -> 4b -> 8b bits) into byte-aligned 8-value
-blocks. No ``(n, bits)`` bit matrix is ever materialized — that intermediate costs 8-16x the payload in
-memory traffic and dominated the original implementation (kept as
-:mod:`repro.bench.reference` for before/after benchmarking). The wire
-layout is unchanged: little-endian-bit-first, byte-identical to
-``np.packbits(..., bitorder="little")`` on the expanded bits.
+Bucket ids are ``uint8`` (``uint16`` for ``B = 16``) from the moment
+they are computed: :meth:`BucketQuantizer.encode_ids` scales in place in
+float32, clamps the float and casts once. The bit-packing kernels are
+pure arithmetic: widths that divide a byte merge neighbouring byte-wide
+ids through a wider integer view, 16-bit ids reinterpret the buffer
+directly, and irregular widths tree-merge adjacent fields
+(b -> 2b -> 4b -> 8b bits) into byte-aligned 8-value blocks. No
+``(n, bits)`` bit matrix is ever materialized — that intermediate costs
+8-16x the payload in memory traffic and dominated the original
+implementation (kept as :mod:`repro.bench.reference` for before/after
+benchmarking). The wire layout is unchanged: little-endian-bit-first,
+byte-identical to ``np.packbits(..., bitorder="little")`` on the
+expanded bits.
+
+:meth:`QuantizedMatrix.decode` never materializes the ids for widths
+that divide a byte: a ``(256, 8 / B)`` byte table maps every packed byte
+straight to its ``8 / B`` float32 representatives, so decoding is one
+gather over the packed buffer.
 """
 
 from __future__ import annotations
@@ -53,6 +62,31 @@ def _midpoint_offsets(buckets: int) -> np.ndarray:
     return offsets
 
 
+# Ids arrive from encode_ids as uint8/uint16; other integer inputs are
+# read as uint32, as they always were.
+_ID_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32))
+
+# Float32 at or past 2^63 (and NaN) has no int64 value; the original
+# ``astype(int64)`` id formula gave such elements the platform's
+# out-of-range cast result (bucket 0 on x86), which encode_ids keeps.
+_INT64_EDGE = np.float32(2.0**63)
+
+
+def _byte_fields(bits: int) -> np.ndarray:
+    """``(256, 8 / bits)`` ids held by each byte value, low field first."""
+    shifts = np.arange(0, 8, bits, dtype=np.uint8)
+    fields = (np.arange(256, dtype=np.uint8)[:, None] >> shifts) & np.uint8(
+        (1 << bits) - 1
+    )
+    fields = fields.astype(np.intp)
+    fields.setflags(write=False)
+    return fields
+
+
+# Widths that divide a byte decode through a byte table (see decode).
+_BYTE_FIELDS = {bits: _byte_fields(bits) for bits in (1, 2, 4, 8)}
+
+
 def packed_size(count: int, bits: int) -> int:
     """Bytes needed to pack ``count`` values of ``bits`` bits each."""
     return (count * bits + 7) // 8
@@ -66,7 +100,9 @@ def pack_bits(values: np.ndarray, bits: int) -> np.ndarray:
     """
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in [1, 16], got {bits}")
-    flat = np.ascontiguousarray(values, dtype=np.uint32).ravel()
+    flat = np.ascontiguousarray(values).ravel()
+    if flat.dtype not in _ID_DTYPES:
+        flat = flat.astype(np.uint32)
     if flat.size == 0:
         return np.zeros(0, dtype=np.uint8)
     if int(flat.max()) >= (1 << bits):
@@ -77,22 +113,21 @@ def pack_bits(values: np.ndarray, bits: int) -> np.ndarray:
         return flat.astype("<u2").view(np.uint8)
     if bits == 1:
         # The values are the bits; packbits needs no expansion here.
-        return np.packbits(flat.astype(np.uint8), bitorder="little")
+        return np.packbits(flat.astype(np.uint8, copy=False), bitorder="little")
     if bits in (2, 4):
+        # The 8/bits byte-wide ids of one output byte form a single
+        # little-endian word; each right shift folds pairs of byte
+        # lanes together, so the low byte ends up holding every field.
         per_byte = 8 // bits
-        if flat.size % per_byte:
-            padded = np.zeros(
-                (flat.size + per_byte - 1) // per_byte * per_byte,
-                dtype=np.uint32,
+        lanes = flat.astype(np.uint8, copy=False)
+        if lanes.size % per_byte:
+            lanes = np.concatenate(
+                [lanes, np.zeros(per_byte - lanes.size % per_byte, np.uint8)]
             )
-            padded[: flat.size] = flat
-            flat = padded
-        acc = flat[0::per_byte].astype(np.uint8)
-        for lane in range(1, per_byte):
-            acc |= (flat[lane::per_byte] << np.uint32(lane * bits)).astype(
-                np.uint8
-            )
-        return acc
+        word = lanes.view(f"<u{per_byte}")
+        for level in range(per_byte.bit_length() - 1):
+            word = word | (word >> word.dtype.type((8 - bits) << level))
+        return word.astype(np.uint8)
     # Irregular widths (3, 5, 6, 7, 9-15): 8 values always span exactly
     # ``bits`` bytes, so each 8-value block ORs into a 64-bit (or, for
     # widths above 8, 128-bit) little-endian accumulator whose first
@@ -141,14 +176,8 @@ def pack_bits(values: np.ndarray, bits: int) -> np.ndarray:
     return block_bytes[:, :bits].ravel()[:total]
 
 
-def unpack_bits(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
-    """Invert :func:`pack_bits`, recovering ``count`` integers.
-
-    The buffer length must match ``count`` exactly: a short buffer cannot
-    hold the promised values and a long one means the caller mis-sliced
-    the wire payload — both raise ``ValueError`` instead of silently
-    reading (or ignoring) stray bytes.
-    """
+def _checked_buffer(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
+    """``buffer`` as flat uint8, if it packs exactly ``count`` values."""
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in [1, 16], got {bits}")
     buf = np.ascontiguousarray(buffer, dtype=np.uint8).ravel()
@@ -158,6 +187,18 @@ def unpack_bits(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
             f"packed buffer holds {buf.size} bytes but {count} values of "
             f"{bits} bits need exactly {needed}"
         )
+    return buf
+
+
+def unpack_bits(buffer: np.ndarray, bits: int, count: int) -> np.ndarray:
+    """Invert :func:`pack_bits`, recovering ``count`` integers.
+
+    The buffer length must match ``count`` exactly: a short buffer cannot
+    hold the promised values and a long one means the caller mis-sliced
+    the wire payload — both raise ``ValueError`` instead of silently
+    reading (or ignoring) stray bytes.
+    """
+    buf = _checked_buffer(buffer, bits, count)
     if count == 0:
         return np.zeros(0, dtype=np.uint32)
     if bits == 8:
@@ -251,9 +292,22 @@ class QuantizedMatrix:
         return count
 
     def decode(self) -> np.ndarray:
-        """Reconstruct the approximate matrix."""
-        ids = unpack_bits(self.packed, self.bits, self.num_elements)
-        return self.bucket_values[ids].reshape(self.shape).astype(np.float32)
+        """Reconstruct the approximate matrix.
+
+        Widths that divide a byte gather straight from the packed bytes
+        through a ``(256, 8 / B)`` table of representatives; the packed
+        buffer is held to the same exact length :func:`unpack_bits`
+        demands. Other widths gather through the unpacked ids.
+        """
+        count = self.num_elements
+        table = np.asarray(self.bucket_values, dtype=np.float32)
+        fields = _BYTE_FIELDS.get(self.bits)
+        if fields is None:
+            values = np.take(table, unpack_bits(self.packed, self.bits, count))
+        else:
+            buf = _checked_buffer(self.packed, self.bits, count)
+            values = np.take(table[fields], buf, axis=0).ravel()[:count]
+        return values.reshape(self.shape)
 
     def payload_bytes(self) -> int:
         """Bytes this message occupies on the wire.
@@ -312,9 +366,11 @@ class BucketQuantizer:
 
         The hot half of :meth:`encode`, exposed so callers that need the
         raw bucket ids (candidate scoring, subset slicing in ReqEC-FP)
-        quantize exactly once instead of encode-decode-re-encode.
+        quantize exactly once instead of encode-decode-re-encode. The
+        ids are ``uint8`` (``uint16`` for ``B = 16``).
         """
         data = np.asarray(matrix, dtype=np.float32)
+        id_dtype = np.uint8 if self.bits <= 8 else np.uint16
         if data.size == 0:
             # An empty matrix still carries its domain on the wire: the
             # all-predicted ReqEC selector message ships zero rows but
@@ -326,9 +382,7 @@ class BucketQuantizer:
                     f"invalid domain: [{domain_lo}, {domain_hi}]"
                 )
             reps = self.representatives(domain_lo, domain_hi)
-            return (
-                np.zeros(0, dtype=np.uint32), reps, domain_lo, domain_hi
-            )
+            return np.zeros(0, dtype=id_dtype), reps, domain_lo, domain_hi
         domain_lo = float(data.min()) if lo is None else float(lo)
         domain_hi = float(data.max()) if hi is None else float(hi)
         if domain_hi < domain_lo:
@@ -337,13 +391,24 @@ class BucketQuantizer:
         buckets = self.num_buckets
         span = domain_hi - domain_lo
         if span <= 0.0:
-            ids = np.zeros(data.size, dtype=np.uint32)
+            ids = np.zeros(data.size, dtype=id_dtype)
         else:
-            width = span / buckets
-            scaled = (data.ravel() - domain_lo) / width
-            ids = np.clip(scaled.astype(np.int64), 0, buckets - 1).astype(
-                np.uint32
-            )
+            # float32 throughout, one scratch array: truncating a float
+            # clamped to [0, 2^B - 1] gives the id that clamping the
+            # truncated integer gave, for every value an int64 can hold.
+            scaled = np.subtract(data.ravel(), domain_lo)
+            scaled /= span / buckets
+            wild = None
+            if not scaled.max() < _INT64_EDGE:  # NaN, or past int64
+                wild = ~(scaled < _INT64_EDGE)
+                wild_ids = np.clip(
+                    scaled[wild].astype(np.int64), 0, buckets - 1
+                )
+                scaled[wild] = 0.0
+            np.clip(scaled, 0, buckets - 1, out=scaled)
+            ids = scaled.astype(id_dtype)
+            if wild is not None:
+                ids[wild] = wild_ids
         reps = self.representatives(domain_lo, domain_hi)
         return ids, reps, domain_lo, domain_hi
 

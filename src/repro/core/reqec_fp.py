@@ -144,10 +144,9 @@ class ReqECPolicy:
         # candidate AND — sliced at the non-predicted rows — form the
         # subset payload, since ids depend only on (value, lo, hi, bits).
         ids, reps, lo, hi = quantizer.encode_ids(rows)
-        h_cps = reps[ids].reshape(rows.shape).astype(np.float32)
-        h_avg = 0.5 * (h_pdt + h_cps)
+        h_cps = np.take(reps, ids).reshape(rows.shape)
 
-        selection, proportion = self._select(rows, h_cps, h_pdt, h_avg)
+        selection, proportion = self._select(rows, h_cps, h_pdt)
         payload, nbytes = self._build_compressed_payload(
             rows, selection, quantizer, ids, reps, lo, hi
         )
@@ -167,30 +166,37 @@ class ReqECPolicy:
         truth: np.ndarray,
         h_cps: np.ndarray,
         h_pdt: np.ndarray,
-        h_avg: np.ndarray,
     ) -> tuple[np.ndarray, float]:
         """Pick the best candidate at the configured granularity.
+
+        The L1 errors of the three candidates (indexed by their selector
+        ids) fill one ``(3, n, d)`` scratch array, so every error sum
+        runs over the same contiguous floats in the same order as a sum
+        over a standalone ``(n, d)`` matrix.
 
         Returns the selection array (shape depends on granularity) and
         the proportion of predicted selections.
         """
-        err_cps = np.abs(h_cps - truth)
-        err_pdt = np.abs(h_pdt - truth)
-        err_avg = np.abs(h_avg - truth)
+        err = np.empty((3,) + truth.shape, dtype=np.float32)
+        cps, pdt, avg = (
+            err[SELECT_COMPRESSED], err[SELECT_PREDICTED], err[SELECT_AVERAGE]
+        )
+        # Each slab takes its abs() while it is still in cache.
+        np.abs(np.subtract(h_cps, truth, out=cps), out=cps)
+        np.abs(np.subtract(h_pdt, truth, out=pdt), out=pdt)
+        np.add(h_pdt, h_cps, out=avg)
+        avg *= 0.5
+        avg -= truth
+        np.abs(avg, out=avg)
         if self.granularity == "vertex":
-            s = np.stack(
-                [err_cps.sum(axis=1), err_pdt.sum(axis=1), err_avg.sum(axis=1)],
-                axis=1,
-            )
-            selection = s.argmin(axis=1).astype(np.uint8)
+            selection = err.sum(axis=2).argmin(axis=0).astype(np.uint8)
         elif self.granularity == "matrix":
-            s = np.array([err_cps.sum(), err_pdt.sum(), err_avg.sum()])
+            s = err.reshape(3, -1).sum(axis=1)
             selection = np.full(
                 truth.shape[0], int(s.argmin()), dtype=np.uint8
             )
         else:  # element
-            s = np.stack([err_cps, err_pdt, err_avg], axis=2)
-            selection = s.argmin(axis=2).astype(np.uint8)
+            selection = err.argmin(axis=0).astype(np.uint8)
         proportion = float((selection == SELECT_PREDICTED).mean())
         return selection, proportion
 
@@ -213,13 +219,12 @@ class ReqECPolicy:
         ids, so no second quantization pass is needed.
         """
         mask = selection != SELECT_PREDICTED
-        id_matrix = ids.reshape(rows.shape)
         if self.granularity == "element":
-            sub_ids = id_matrix[mask]
+            sub_ids = np.compress(mask.ravel(), ids)
             sub_shape = sub_ids.shape
             selector_bits = 2 * selection.size
         else:
-            sub = id_matrix[mask]
+            sub = np.compress(mask, ids.reshape(rows.shape), axis=0)
             sub_ids = sub.ravel()
             sub_shape = sub.shape
             selector_bits = 2 * selection.shape[0]
@@ -277,27 +282,19 @@ class ReqECPolicy:
     def _reconstruct(
         self, selection: np.ndarray, quantized, h_pdt: np.ndarray
     ) -> np.ndarray:
-        """Merge predicted rows with the shipped quantized payload."""
-        out = h_pdt.astype(np.float32).copy()
+        """Merge predicted rows with the shipped quantized payload.
+
+        ``h_pdt`` is the caller's fresh prediction and becomes the
+        output; the freshly decoded payload is merged in place.
+        """
+        out = np.asarray(h_pdt, dtype=np.float32)
         mask = selection != SELECT_PREDICTED
         if not mask.any():
             return out
-        decoded = quantized.decode()
-        if self.granularity == "element":
-            cps_values = decoded
-            avg_mask_flat = selection[mask] == SELECT_AVERAGE
-            merged = cps_values.copy()
-            merged[avg_mask_flat] = 0.5 * (
-                cps_values[avg_mask_flat] + h_pdt[mask][avg_mask_flat]
-            )
-            out[mask] = merged
-            return out
-        cps_rows = decoded
-        sub_selection = selection[mask]
-        merged = cps_rows.copy()
-        avg_rows = sub_selection == SELECT_AVERAGE
-        if avg_rows.any():
-            merged[avg_rows] = 0.5 * (cps_rows[avg_rows] + h_pdt[mask][avg_rows])
+        merged = quantized.decode()
+        avg = selection[mask] == SELECT_AVERAGE
+        if avg.any():
+            merged[avg] = 0.5 * (merged[avg] + h_pdt[mask][avg])
         out[mask] = merged
         return out
 

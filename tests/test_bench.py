@@ -33,6 +33,40 @@ class TestReferenceKernels:
         )
 
 
+class TestReferenceCodec:
+    def test_swaps_every_codec_kernel_and_restores(self):
+        import numpy as np
+
+        from repro.bench.reference import (
+            decode_reference,
+            encode_ids_reference,
+        )
+        from repro.bench.suites import reference_codec
+        from repro.compression import quantization
+        from repro.compression.quantization import (
+            BucketQuantizer,
+            QuantizedMatrix,
+        )
+
+        before = (quantization.pack_bits, quantization.unpack_bits,
+                  BucketQuantizer.encode_ids, QuantizedMatrix.decode)
+        x = np.random.default_rng(0).standard_normal((9, 5)).astype(
+            np.float32
+        )
+        expected = BucketQuantizer(4).encode(x)
+        with reference_codec():
+            assert quantization.pack_bits is pack_bits_reference
+            assert quantization.unpack_bits is unpack_bits_reference
+            assert BucketQuantizer.encode_ids is encode_ids_reference
+            assert QuantizedMatrix.decode is decode_reference
+            encoded = BucketQuantizer(4).encode(x)
+            assert encoded.packed.tobytes() == expected.packed.tobytes()
+            decoded = encoded.decode()
+        assert decoded.tobytes() == expected.decode().tobytes()
+        assert (quantization.pack_bits, quantization.unpack_bits,
+                BucketQuantizer.encode_ids, QuantizedMatrix.decode) == before
+
+
 class TestBestSeconds:
     def test_returns_positive_float(self):
         assert best_seconds(lambda: sum(range(100)), repeats=2) > 0
@@ -181,7 +215,7 @@ class TestRunBenchSmoke:
 
     def test_kernel_entries(self, report):
         for bits in (2, 4, 8):
-            for op in ("pack_bits", "unpack_bits"):
+            for op in ("pack_bits", "unpack_bits", "quantize", "dequantize"):
                 entry = report["kernels"][f"{op}[bits={bits}]"]
                 assert entry["ns_per_element"] > 0
                 assert entry["reference_ns_per_element"] > 0

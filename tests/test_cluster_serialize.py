@@ -18,7 +18,7 @@ from repro.cluster.serialize import (
     encode_raw,
     encode_selector,
 )
-from repro.compression.quantization import BucketQuantizer
+from repro.compression.quantization import BucketQuantizer, pack_bits
 
 
 @pytest.fixture
@@ -236,3 +236,76 @@ class TestCorruptFrames:
         frame[nested] ^= 0xFF
         with pytest.raises(ValueError, match="bad magic"):
             decode_selector(bytes(frame))
+
+
+def _decode_or_value_error(frame: bytes) -> None:
+    """A QUANT frame decodes to float32 of its shape, or ValueError."""
+    try:
+        quantized = decode_quantized(frame)
+        values = quantized.decode()
+    except ValueError:
+        return
+    assert values.dtype == np.float32
+    assert values.shape == quantized.shape
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestQuantDecoderFuzz:
+    """Arbitrary bytes through ``decode_quantized(...).decode()`` yield
+    a matrix or a ``ValueError`` — never an ``IndexError`` or any other
+    exception, whichever decode path the bit width takes."""
+
+    @given(frame=st.binary(max_size=96))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes(self, frame):
+        _decode_or_value_error(frame)
+
+    @given(payload=st.binary(max_size=160), flags=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_valid_header_arbitrary_payload(self, payload, flags):
+        import struct
+
+        header = struct.pack("<HHIQ", 0xEC6A, 2, flags, len(payload))
+        _decode_or_value_error(header + payload)
+
+    @given(
+        data=arrays(
+            np.float32,
+            st.tuples(st.integers(0, 6), st.integers(1, 7)),
+            elements=st.floats(-5, 5, width=32),
+        ),
+        bits=st.sampled_from([1, 2, 4, 8, 16]),
+        mode=st.sampled_from(["table", "bounds"]),
+        edits=st.lists(
+            st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)),
+            min_size=1, max_size=4,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_real_frames(self, data, bits, mode, edits):
+        frame = bytearray(
+            encode_quantized(BucketQuantizer(bits, mode).encode(data))
+        )
+        for position, value in edits:
+            frame[position % len(frame)] = value
+        _decode_or_value_error(bytes(frame))
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 8, 11, 16])
+    def test_every_width_decodes_from_the_wire(self, bits):
+        """The bits byte is any width in [1, 16]; irregular widths (not
+        produced by BucketQuantizer) still decode, through unpack_bits."""
+        import struct
+
+        count = 13
+        ids = np.arange(count, dtype=np.uint32) % (1 << bits)
+        packed = pack_bits(ids, bits)
+        table = np.arange(1 << bits, dtype=np.float32) * 0.5
+        payload = (
+            struct.pack("<II", count, 0) + struct.pack("<Bff", bits, 0.0, 1.0)
+            + table.tobytes() + packed.tobytes()
+        )
+        frame = struct.pack("<HHIQ", 0xEC6A, 2, 1, len(payload)) + payload
+        np.testing.assert_array_equal(
+            decode_quantized(frame).decode(), table[ids]
+        )
+

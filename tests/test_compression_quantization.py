@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.bench.reference import (
+    decode_reference,
+    encode_ids_reference,
+    pack_bits_reference,
+)
 from repro.compression.quantization import (
     SUPPORTED_BITS,
     BucketQuantizer,
+    QuantizedMatrix,
     pack_bits,
     unpack_bits,
 )
@@ -31,6 +37,12 @@ class TestPackBits:
     def test_value_too_large_rejected(self):
         with pytest.raises(ValueError, match="fit"):
             pack_bits(np.array([4], dtype=np.uint32), 2)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 7])
+    def test_narrow_id_too_large_rejected(self, bits):
+        """The range check sees uint8 ids before any narrowing."""
+        with pytest.raises(ValueError, match="fit"):
+            pack_bits(np.array([0, 1 << bits, 0], dtype=np.uint8), bits)
 
     def test_bad_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -170,19 +182,89 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("bits", list(range(1, 17)))
     def test_pack_byte_identical_to_reference(self, bits):
-        from repro.bench.reference import pack_bits_reference
-
         rng = np.random.default_rng(bits)
+        # Every id dtype the codec produces packs to the same bytes as
+        # the uint32 ids the reference takes.
+        dtypes = [np.uint16, np.uint32, np.int64]
+        if bits <= 8:
+            dtypes.insert(0, np.uint8)
         for size in (0, 1, 3, 7, 8, 9, 15, 16, 17, 100, 1001):
             values = rng.integers(0, 1 << bits, size=size, dtype=np.uint32)
-            assert pack_bits(values, bits).tobytes() == (
-                pack_bits_reference(values, bits).tobytes()
-            ), f"bits={bits} size={size}"
+            expected = pack_bits_reference(values, bits).tobytes()
+            for dtype in dtypes:
+                assert pack_bits(values.astype(dtype), bits).tobytes() == (
+                    expected
+                ), f"bits={bits} size={size} dtype={np.dtype(dtype)}"
+
+    @given(
+        x=arrays(
+            np.float32,
+            st.tuples(st.integers(0, 20), st.integers(1, 9)),
+            elements=st.floats(width=32),
+        ),
+        bits=st.sampled_from(SUPPORTED_BITS),
+        table_mode=st.sampled_from(["table", "bounds"]),
+        domain=st.none() | st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=32),
+            min_size=2, max_size=2,
+        ).map(sorted),
+    )
+    @example(  # constant matrix: a degenerate domain, every id is 0
+        x=np.full((4, 3), 0.7, np.float32), bits=2, table_mode="table",
+        domain=None,
+    )
+    @example(  # empty matrix with explicit bounds
+        x=np.zeros((0, 5), np.float32), bits=4, table_mode="bounds",
+        domain=[-1.5, 3.0],
+    )
+    @example(  # values far outside a tiny explicit domain
+        x=np.array([[1.0, -1.0, 1e30]], np.float32), bits=8,
+        table_mode="table", domain=[0.0, 1e-20],
+    )
+    @example(  # a span that overflows float32
+        x=np.array([[-3e38, 0.0, 3e38]], np.float32), bits=16,
+        table_mode="table", domain=None,
+    )
+    @example(  # NaN row: NaN domain, NaN table
+        x=np.array([[np.nan, 1.0], [0.5, 2.0]], np.float32), bits=4,
+        table_mode="table", domain=None,
+    )
+    @example(  # +inf: infinite span
+        x=np.array([[np.inf, 1.0], [0.5, 2.0]], np.float32), bits=1,
+        table_mode="bounds", domain=None,
+    )
+    @example(  # -inf and +inf together
+        x=np.array([[np.inf, -np.inf], [0.5, 2.0]], np.float32), bits=8,
+        table_mode="table", domain=None,
+    )
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_codec_identical_to_reference(self, x, bits, table_mode, domain):
+        """ids, packed bytes and decoded floats equal the original
+        formulas bit for bit — NaN and ±inf included, which must keep
+        reaching the loss (the convergence watchdog reads it there)."""
+        lo, hi = domain if domain is not None else (None, None)
+        q = BucketQuantizer(bits, table_mode)
+        ids, reps, domain_lo, domain_hi = q.encode_ids(x, lo, hi)
+        ref_ids, ref_reps, ref_lo, ref_hi = encode_ids_reference(q, x, lo, hi)
+        assert ids.dtype == (np.uint8 if bits <= 8 else np.uint16)
+        np.testing.assert_array_equal(ids, ref_ids)
+        assert reps.tobytes() == ref_reps.tobytes()
+        assert np.array([domain_lo, domain_hi]).tobytes() == (
+            np.array([ref_lo, ref_hi]).tobytes()
+        )
+
+        encoded = q.encode(x, lo=lo, hi=hi)
+        assert encoded.packed.tobytes() == (
+            pack_bits_reference(ref_ids, bits).tobytes()
+        )
+        decoded = encoded.decode()
+        assert decoded.dtype == np.float32
+        assert decoded.shape == x.shape
+        assert decoded.tobytes() == decode_reference(encoded).tobytes()
 
     @pytest.mark.parametrize("bits", list(range(1, 17)))
     def test_unpack_inverts_reference_pack(self, bits):
-        from repro.bench.reference import pack_bits_reference
-
         rng = np.random.default_rng(100 + bits)
         for size in (1, 8, 9, 63, 100):
             values = rng.integers(0, 1 << bits, size=size, dtype=np.uint32)
@@ -193,20 +275,53 @@ class TestKernelEquivalence:
 
 
 class TestStrictBufferLength:
-    @pytest.mark.parametrize("bits", [1, 3, 4, 8, 11, 16])
+    """``unpack_bits`` and ``QuantizedMatrix.decode`` (whose byte-table
+    path never calls it) reject mis-sized packed buffers alike."""
+
+    @staticmethod
+    def _matrix(packed, bits):
+        table = np.arange(1 << bits, dtype=np.float32)
+        return QuantizedMatrix(
+            shape=(2, 5), bits=bits, packed=packed, lo=0.0, hi=1.0,
+            bucket_values=table,
+        )
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 8, 11, 16])
     def test_oversized_buffer_rejected(self, bits):
         values = np.arange(10, dtype=np.uint32) % (1 << bits)
         packed = pack_bits(values, bits)
         padded = np.concatenate([packed, np.zeros(3, dtype=np.uint8)])
-        with pytest.raises(ValueError, match="exactly"):
+        with pytest.raises(ValueError, match="exactly") as unpacked:
             unpack_bits(padded, bits, 10)
+        with pytest.raises(ValueError, match="exactly") as decoded:
+            self._matrix(padded, bits).decode()
+        assert str(decoded.value) == str(unpacked.value)
 
-    @pytest.mark.parametrize("bits", [1, 3, 4, 8, 11, 16])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 8, 11, 16])
     def test_short_buffer_rejected(self, bits):
         values = np.arange(10, dtype=np.uint32) % (1 << bits)
         packed = pack_bits(values, bits)
-        with pytest.raises(ValueError, match="exactly"):
+        with pytest.raises(ValueError, match="exactly") as unpacked:
             unpack_bits(packed[:-1], bits, 10)
+        with pytest.raises(ValueError, match="exactly") as decoded:
+            self._matrix(packed[:-1], bits).decode()
+        assert str(decoded.value) == str(unpacked.value)
+
+    @given(
+        buffer=st.binary(max_size=64),
+        bits=st.integers(-2, 20),
+        count=st.integers(-4, 600),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unpack_fuzz_value_or_value_error(self, buffer, bits, count):
+        """Arbitrary bytes: a value of the promised length, or a
+        ValueError — never an IndexError or any other exception."""
+        try:
+            ids = unpack_bits(np.frombuffer(buffer, np.uint8), bits, count)
+        except ValueError:
+            return
+        assert ids.shape == (count,)
+        assert int(ids.max(initial=0)) < (1 << bits)
 
 
 class TestEmptyMatrixBounds:

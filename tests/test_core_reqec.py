@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.bench.reference import (
+    decode_reference,
+    encode_ids_reference,
+    pack_bits_reference,
+)
+from repro.compression.quantization import BucketQuantizer, QuantizedMatrix
 from repro.core.bit_tuner import BitTuner
 from repro.core.messages import ChannelKey
 from repro.core.reqec_fp import (
@@ -97,8 +103,6 @@ class TestSelector:
         result, message = _roundtrip(policy, drifted, t=4)
         # Reconstruction error must be no worse than pure quantization
         # over the full matrix (the Selector picks the best per vertex).
-        from repro.compression.quantization import BucketQuantizer
-
         cps_err = np.abs(
             BucketQuantizer(4).quantize(drifted) - drifted
         ).sum(axis=1)
@@ -150,6 +154,95 @@ class TestGranularities:
     def test_unknown_granularity_rejected(self):
         with pytest.raises(ValueError):
             _policy(granularity="row")
+
+
+def _pre_change_exchange(rows, h_pdt, bits, granularity):
+    """The selector message and its reconstruction, computed with the
+    original formulas: reference ids and packing, separate candidate
+    error matrices, boolean-mask slicing and copy-then-merge decode.
+
+    Returns ``(selection, nbytes, reconstructed rows)``.
+    """
+    quantizer = BucketQuantizer(bits)
+    ids, reps, lo, hi = encode_ids_reference(quantizer, rows)
+    h_cps = reps[ids].reshape(rows.shape).astype(np.float32)
+    h_avg = 0.5 * (h_pdt + h_cps)
+    errors = [np.abs(h - rows) for h in (h_cps, h_pdt, h_avg)]
+    if granularity == "vertex":
+        selection = np.stack([e.sum(axis=1) for e in errors], axis=1)
+        selection = selection.argmin(axis=1).astype(np.uint8)
+        selector_bits = 2 * selection.shape[0]
+    elif granularity == "matrix":
+        best = int(np.array([e.sum() for e in errors]).argmin())
+        selection = np.full(rows.shape[0], best, dtype=np.uint8)
+        selector_bits = 2 * selection.shape[0]
+    else:
+        selection = np.stack(errors, axis=2).argmin(axis=2).astype(np.uint8)
+        selector_bits = 2 * selection.size
+    mask = selection != SELECT_PREDICTED
+    sub = ids.reshape(rows.shape)[mask]
+    quantized = QuantizedMatrix(
+        shape=sub.shape, bits=bits,
+        packed=pack_bits_reference(sub.ravel(), bits), lo=lo, hi=hi,
+        bucket_values=reps,
+    )
+    nbytes = 16 + 8 + 8 + -(-selector_bits // 8) + quantized.payload_bytes()
+    out = h_pdt.astype(np.float32).copy()
+    if mask.any():
+        cps = decode_reference(quantized)
+        avg = selection[mask] == SELECT_AVERAGE
+        merged = cps.copy()
+        merged[avg] = 0.5 * (cps[avg] + h_pdt[mask][avg])
+        out[mask] = merged
+    return selection, nbytes, out
+
+
+class TestPreChangeFormulas:
+    """Selector messages equal the original formulas bit for bit, at
+    every granularity and at row widths ``d`` where ``d * B`` is and is
+    not a whole number of bytes (so row payloads do and do not start on
+    a byte boundary)."""
+
+    @pytest.mark.parametrize("granularity", ["vertex", "matrix", "element"])
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("dim", [3, 8, 67])
+    def test_nbytes_and_rows_match(self, granularity, bits, dim):
+        policy = _policy(bits=bits, period=4, granularity=granularity)
+        rng = np.random.default_rng(100 * bits + dim)
+        n = 24
+        base = rng.standard_normal((n, dim)).astype(np.float32)
+        step = np.float32(0.05) * rng.standard_normal((n, dim)).astype(
+            np.float32
+        )
+        # Rows 0..11 follow their trend (the prediction wins); the rest
+        # jump about, so compressed and averaged candidates win too.
+        def rows_at(t):
+            rows = base + step * np.float32(t)
+            rows[n // 2:] += rng.standard_normal((n - n // 2, dim)).astype(
+                np.float32
+            ) * np.float32(0.3)
+            return rows
+
+        for t in (3, 7):  # two boundaries establish a changing rate
+            policy.receive(KEY, policy.respond(KEY, rows_at(t), t), t)
+        seen = set()
+        for t in (8, 9, 10):
+            rows = rows_at(t)
+            state = policy._responder_trend[KEY]
+            h_pdt = state.h_last + state.m_cr * (t % 4 + 1)
+            selection, nbytes, expected = _pre_change_exchange(
+                rows, h_pdt, bits, granularity
+            )
+            message = policy.respond(KEY, rows, t)
+            assert message.payload[0] == "cps"
+            np.testing.assert_array_equal(message.payload[1], selection)
+            assert message.nbytes == nbytes
+            result = policy.receive(KEY, message, t)
+            assert result.rows.dtype == np.float32
+            assert result.rows.tobytes() == expected.tobytes()
+            seen.update(np.unique(selection).tolist())
+        if granularity != "matrix":
+            assert SELECT_PREDICTED in seen and len(seen) >= 2
 
 
 class TestCosts:
