@@ -122,13 +122,13 @@ def compare_reports(
 def speedup_flag_lines(report: dict) -> list[str]:
     """Within-report sanity flags: every ``speedup_*`` below 1.0.
 
-    A ``speedup_*`` entry is a suite's claim that its "optimized"
-    configuration beats its own baseline; below 1.0 the claim is false
-    on the machine that produced the report, and silently rendering it
-    as a speedup row is how the GIL-bound ``exchange_threads`` path
-    masqueraded as a fast path. Informational (no exit-code change):
-    e.g. a single-CPU host legitimately measures
-    ``speedup_multiprocess`` < 1.0.
+    A ``speedup_*`` entry (``epoch.speedup_vs_reference_codec``,
+    ``epoch_multiprocess.speedup_multiprocess``) is a suite's claim that
+    its configuration beats its own baseline; below 1.0 the claim is
+    false on the machine that produced the report, and rendering it
+    silently as a speedup row would pass a slow path off as a fast one.
+    Informational (no exit-code change): e.g. a single-CPU host
+    legitimately measures ``speedup_multiprocess`` < 1.0.
     """
     flags = []
     for suite, data in sorted(report.items()):

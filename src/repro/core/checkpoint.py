@@ -32,6 +32,10 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 
+# ECGraphConfig fields that no longer exist but that older checkpoints
+# still carry in ``ec_config_json``; loading drops exactly these.
+_RETIRED_EC_CONFIG_KEYS = ("halo_buffer_pool", "exchange_threads")
+
 
 class CheckpointError(ValueError):
     """A checkpoint file is truncated, corrupt or otherwise unusable.
@@ -44,7 +48,15 @@ class CheckpointError(ValueError):
 
 
 def _load_ec_config(fields: dict) -> ECGraphConfig:
-    """Rebuild the config; ``asdict`` flattened the nested sub-configs."""
+    """Rebuild the config; ``asdict`` flattened the nested sub-configs.
+
+    Retired fields (:data:`_RETIRED_EC_CONFIG_KEYS`) are dropped so
+    checkpoints written before their removal still load; any other
+    unknown key still fails.
+    """
+    fields = {
+        k: v for k, v in fields.items() if k not in _RETIRED_EC_CONFIG_KEYS
+    }
     obs = fields.get("obs")
     if isinstance(obs, dict):
         fields = dict(fields, obs=ObsConfig(**obs))

@@ -19,8 +19,6 @@ and SAGE.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.trainer import ECGraphTrainer
 from repro.engine import GATBackend
 from repro.engine.backends import (
@@ -52,15 +50,3 @@ class GATTrainer(ECGraphTrainer):
 
     def _make_backend(self) -> GATBackend:
         return GATBackend(num_heads=self.num_heads)
-
-    # ------------------------------------------------------------------
-    # Compatibility shims over the backend (exercised by the test suite)
-    # ------------------------------------------------------------------
-    def _layer_params(self, layer: int) -> list[str]:
-        return self._backend.layer_param_names(layer)
-
-    def _gat_layer_forward(self, worker: int, h_cat: np.ndarray,
-                           params: dict, layer: int, is_last: bool):
-        return self._backend.gat_layer_forward(
-            worker, h_cat, params, layer, is_last=is_last
-        )

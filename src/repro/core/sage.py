@@ -48,10 +48,3 @@ class SAGETrainer(ECGraphTrainer):
 
     def _make_backend(self) -> SAGEBackend:
         return SAGEBackend()
-
-    def _sage_layer_forward(self, state, h_cat, w_self, w_neigh, bias,
-                            is_last: bool):
-        """Compatibility shim over the backend's layer kernel."""
-        return self._backend.sage_layer_forward(
-            state, h_cat, w_self, w_neigh, bias, is_last=is_last
-        )

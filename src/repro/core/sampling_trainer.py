@@ -27,7 +27,6 @@ offline sampling pass into preprocessing.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
@@ -122,26 +121,8 @@ class SampledECGraphTrainer(ECGraphTrainer):
         if not self.online:
             start = monotonic_now()
             with self.obs.span("sampling", mode="offline"):
-                self._backend.resample()
+                self.engine.backend.resample()
             self._preprocessing_seconds += (
                 monotonic_now() - start
             ) / self.sampling_speedup
-            self._backend.sampled_once = True
-
-    # ------------------------------------------------------------------
-    # Compatibility shims over the backend (exercised by the test suite)
-    # ------------------------------------------------------------------
-    def _resample(self) -> None:
-        self._backend.resample()
-
-    @property
-    def _sampled_adj(self) -> list[dict[int, csr_matrix]]:
-        return self._backend.sampled_adj if self._backend else []
-
-    @property
-    def _subsets(self) -> dict[int, dict[tuple[int, int], np.ndarray]]:
-        return self._backend.subsets if self._backend else {}
-
-    @property
-    def _sampled_once(self) -> bool:
-        return bool(self._backend) and self._backend.sampled_once
+            self.engine.backend.sampled_once = True

@@ -1,46 +1,30 @@
-"""The unified halo transport: one code path for every exchange.
+"""The halo transport: the paper's Neighbor Access Controller (Fig. 2a).
 
-Historically the Neighbor Access Controller carried three hand-written
-exchange loops — sequential forward, thread-pooled forward, and
-sequential reverse — each re-implementing encode/deliver/decode, fault
-retry, degradation and metering with small copy-paste drift. This module
-folds them into one transport layer:
+:class:`HaloTransport` *is* the NAC. It mediates every halo exchange:
+local neighbours come out of the worker's own rows for free, remote
+neighbours run one encode -> deliver -> decode per channel through the
+exchange policy, the traffic meter and the compute clocks. One
+sequential runner serves both directions:
 
 * :class:`ChannelSession` materializes one planned (responder,
   requester) channel — the rows it serves, where the decoded rows land
   (forward scatter into halo slots, or reverse accumulation into the
-  owner's local rows) — so the runner loops are direction-agnostic;
+  owner's local rows) — so the runner loop is direction-agnostic;
 * :class:`HaloTransport` plans the sessions in the canonical order
   (requesters ascending, then halo-slot insertion order; reverse:
-  consumers ascending, then their owners), then drives them through a
-  single sequential runner or a thread-pooled runner that merges its
-  charges in the same canonical order.
+  consumers ascending, then their owners) and drives them through the
+  runner.
 
 Fault retry (:meth:`HaloTransport._deliver`), policy failure
 notification, stale-halo degradation and codec-time charging therefore
-exist exactly once, shared by both directions. Accounting and halo
-contents are bit-identical to the historical loops: channel order,
-float scatter/accumulation order and the fault RNG's (epoch, layer,
-responder, requester, attempt) fate keys are all preserved.
-
-Two optional hot-path optimizations (both off by default, see
-``docs/performance.md``):
-
-* **buffer pooling** — halo (and reverse-accumulator) matrices are
-  reused across exchanges, keyed by ``(kind, worker, dim)`` and zeroed
-  in place, instead of being reallocated per layer per iteration.
-  Pooled buffers are only valid until the next exchange call.
-* **thread-pool fan-out** — the independent channels encode and decode
-  concurrently (numpy releases the GIL in its kernels); results are
-  merged and charged in the canonical channel order from per-channel
-  measured times. The fan-out engages only on the fault-free,
-  telemetry-off path; otherwise the transport silently falls back to
-  the sequential runner.
+exist exactly once, shared by both directions. Channel order, float
+scatter/accumulation order and the fault RNG's (epoch, layer,
+responder, requester, attempt) fate keys are fixed by the plan, so
+accounting and halo contents are deterministic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -116,12 +100,6 @@ class HaloTransport:
     or zeros (partial aggregation), in that order; reverse channels
     contribute zero and let error-feedback policies fold the loss into
     their residuals.
-
-    Args:
-        buffer_pool: Reuse halo buffers across exchanges (zeroed in
-            place) instead of allocating fresh ones every call.
-        threads: Fan the independent channels of one exchange out over
-            this many threads; ``0``/``1`` keeps the sequential loop.
     """
 
     def __init__(
@@ -129,18 +107,12 @@ class HaloTransport:
         runtime: ClusterRuntime,
         workers: list[WorkerState],
         codec_speedup: float = 20.0,
-        buffer_pool: bool = False,
-        threads: int = 0,
     ) -> None:
         if codec_speedup <= 0:
             raise ValueError("codec_speedup must be positive")
-        if threads < 0:
-            raise ValueError("threads must be non-negative")
         self.runtime = runtime
         self.workers = workers
         self.codec_speedup = codec_speedup
-        self.buffer_pool = buffer_pool
-        self.threads = threads
         self.telemetry = runtime.telemetry
         # FaultInjector, attached by the trainer when faults are
         # enabled; None keeps the exchange loop on the fault-free path.
@@ -149,65 +121,26 @@ class HaloTransport:
         # Last successfully received rows per channel, the stale-halo
         # fallback of last resort. Populated only under fault injection.
         self._halo_cache: dict[ChannelKey, np.ndarray] = {}
-        # (kind, worker, dim) -> pooled float32 buffer.
-        self._buffers: dict[tuple[str, int, int], np.ndarray] = {}
-        self._executor: ThreadPoolExecutor | None = None
         # Optional session-output provider: (kind, worker, rows, dim) ->
-        # zeroed float32 buffer, or None to fall back to the local pool.
-        # The multiprocess executor plugs its shared-memory blocks in
-        # here (ProcessChannelBuffers) so scatters land zero-copy where
-        # the worker processes read them. Semantics match the pooled
-        # path: a zeroed buffer reused across exchanges.
+        # zeroed float32 buffer, or None to allocate a fresh one. The
+        # multiprocess executor plugs its shared-memory blocks in here
+        # (ProcessChannelBuffers) so scatters land zero-copy where the
+        # worker processes read them.
         self.buffer_provider: (
             Callable[[str, int, int, int], np.ndarray | None] | None
         ) = None
 
     # ------------------------------------------------------------------
-    # Buffer pool
+    # Output buffers
     # ------------------------------------------------------------------
     def _buffer(self, kind: str, worker: int, rows: int, dim: int) -> np.ndarray:
-        """A zeroed ``(rows, dim)`` float32 buffer, pooled when enabled."""
+        """A zeroed ``(rows, dim)`` float32 buffer: the provider's block
+        when one is plugged in, else a fresh allocation."""
         if self.buffer_provider is not None:
             buf = self.buffer_provider(kind, worker, rows, dim)
             if buf is not None:
                 return buf
-        if not self.buffer_pool:
-            return np.zeros((rows, dim), dtype=np.float32)
-        key = (kind, worker, dim)
-        buf = self._buffers.get(key)
-        if buf is None or buf.shape[0] != rows:
-            buf = np.zeros((rows, dim), dtype=np.float32)
-            self._buffers[key] = buf
-        else:
-            buf.fill(0.0)
-        return buf
-
-    # ------------------------------------------------------------------
-    # Thread pool
-    # ------------------------------------------------------------------
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.threads, thread_name_prefix="nac"
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut the fan-out thread pool down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def _fan_out_ok(self, sessions: list[ChannelSession]) -> bool:
-        """Threaded fan-out needs the fault-free, uninstrumented path:
-        fault fates consume a shared RNG stream in channel order and
-        span tracing timestamps interleave across threads."""
-        return (
-            self.threads > 1
-            and len(sessions) > 1
-            and self.injector is None
-            and not self.telemetry.enabled
-        )
+        return np.zeros((rows, dim), dtype=np.float32)
 
     # ------------------------------------------------------------------
     # Public API
@@ -239,8 +172,7 @@ class HaloTransport:
         Returns:
             One ``(num_halo, dim)`` array per worker, rows scattered into
             the worker's halo ordering. Vertices outside a subset keep 0.
-            With the buffer pool enabled the arrays are only valid until
-            the next exchange.
+            Provider-backed arrays are only valid until the next exchange.
         """
         halos = [
             self._buffer("halo", state.worker_id, state.num_halo, dim)
@@ -277,8 +209,7 @@ class HaloTransport:
         Returns:
             One ``(num_local, dim)`` array per worker: the sum of the
             partials every consumer computed for that worker's vertices.
-            With the buffer pool enabled the arrays are only valid until
-            the next exchange.
+            Provider-backed arrays are only valid until the next exchange.
         """
         accumulated = [
             self._buffer("local", state.worker_id, state.num_local, dim)
@@ -311,9 +242,8 @@ class HaloTransport:
         """Materialize this round's sessions in the canonical order.
 
         The order — requesters ascending, then each requester's owners in
-        halo-slot insertion order — is what the sequential loop always
-        used; the threaded runner merges its charges in exactly this
-        order so accounting is execution-schedule independent.
+        halo-slot insertion order — fixes the charge, scatter and fault
+        RNG order, so accounting is deterministic.
         """
         sessions: list[ChannelSession] = []
         for requester in self.workers:
@@ -372,23 +302,9 @@ class HaloTransport:
         return sessions
 
     # ------------------------------------------------------------------
-    # Runners
+    # Runner
     # ------------------------------------------------------------------
     def _run(
-        self,
-        sessions: list[ChannelSession],
-        outputs: list[np.ndarray],
-        t: int,
-        policy: ExchangePolicy,
-        category: str,
-        dim: int,
-    ) -> None:
-        if self._fan_out_ok(sessions):
-            self._run_threaded(sessions, outputs, t, policy, category)
-        else:
-            self._run_sequential(sessions, outputs, t, policy, category, dim)
-
-    def _run_sequential(
         self,
         sessions: list[ChannelSession],
         outputs: list[np.ndarray],
@@ -441,56 +357,6 @@ class HaloTransport:
                 and self.injector is not None
             ):
                 self._halo_cache[ch.key] = np.array(result.rows, copy=True)
-            self._record_proportion(ch, message, result)
-
-    def _run_threaded(
-        self,
-        sessions: list[ChannelSession],
-        outputs: list[np.ndarray],
-        t: int,
-        policy: ExchangePolicy,
-        category: str,
-    ) -> None:
-        """Encode/decode all channels concurrently, charge in order.
-
-        Channel computations are independent and deterministic given
-        (key, rows, t) and the policy's per-channel state, so the
-        scattered contents are bit-identical to the sequential runner no
-        matter how the scheduler interleaves them — scatters (including
-        reverse accumulation, whose float addition order matters) happen
-        after the barrier in the canonical session order. Only the
-        *charging* order could differ — so all meter/compute charges
-        happen after each barrier, in the canonical order, from
-        per-channel measured times.
-        """
-        pool = self._pool()
-
-        def _respond(ch: ChannelSession) -> tuple[ChannelMessage, float]:
-            start = monotonic_now()
-            message = policy.respond(ch.key, ch.served, t, rows_idx=ch.rows_idx)
-            return message, monotonic_now() - start
-
-        responded = list(pool.map(_respond, sessions))
-        for ch, (message, wall) in zip(sessions, responded):
-            self._charge_compute(ch.responder, wall, message.codec_seconds)
-            self.runtime.send_worker_to_worker(
-                ch.responder, ch.consumer, message.nbytes, category
-            )
-
-        def _receive(
-            item: tuple[ChannelSession, tuple[ChannelMessage, float]]
-        ) -> tuple[ReceiveResult, float]:
-            ch, (message, _) = item
-            start = monotonic_now()
-            result = policy.receive(ch.key, message, t, rows_idx=ch.rows_idx)
-            return result, monotonic_now() - start
-
-        received = list(pool.map(_receive, zip(sessions, responded)))
-        for ch, (message, _), (result, wall) in zip(
-            sessions, responded, received
-        ):
-            self._charge_compute(ch.consumer, wall, result.codec_seconds)
-            ch.scatter(outputs, result.rows)
             self._record_proportion(ch, message, result)
 
     def _record_proportion(
@@ -680,14 +546,13 @@ class HaloTransport:
 
         Sessions are planned fresh from the worker states on every
         exchange, so the plans need no rebuilding — but the stale-halo
-        cache, the pooled buffers (halo sizes changed) and the last
-        proportions all describe channels that may no longer exist.
+        cache and the last proportions describe channels that may no
+        longer exist.
         ``changed`` is accepted for symmetry with the policy hooks; the
         caches are cheap enough to drop wholesale.
         """
         del changed
         self._halo_cache.clear()
-        self._buffers.clear()
         self._last_proportions.clear()
 
     # ------------------------------------------------------------------

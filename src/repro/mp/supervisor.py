@@ -12,8 +12,8 @@ only the kernel math leaves the process.
 :class:`ProcessChannelBuffers` is the transport's ``buffer_provider``:
 halo-exchange session outputs land directly in shared memory, so the
 scatter the supervisor performs is the last copy before the worker
-kernels read the rows (same zero-then-fill semantics as the pooled
-buffers, hence identical values).
+kernels read the rows (same zero-then-fill semantics as a fresh
+``np.zeros`` buffer, hence identical values).
 
 Deadlock-freedom of the round protocol: the supervisor sends to every
 worker, then receives in worker order. At a round boundary every worker

@@ -1,5 +1,7 @@
 """Unit tests for checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,38 @@ class TestErrors:
 
     def test_checkpoint_error_is_a_value_error(self):
         assert issubclass(CheckpointError, ValueError)
+
+
+def _rewrite_ec_config(path, **extra_fields):
+    """Re-save the checkpoint at ``path`` with extra ``ec_config_json``
+    fields, as a checkpoint written by an older config would carry."""
+    with np.load(path) as archive:
+        payload = {k: archive[k] for k in archive.files}
+    fields = json.loads(str(payload["ec_config_json"]))
+    fields.update(extra_fields)
+    payload["ec_config_json"] = np.str_(json.dumps(fields))
+    np.savez_compressed(path, **payload)
+
+
+class TestRetiredConfigKeys:
+    def test_retired_keys_are_dropped_on_load(self, small_graph, tmp_path):
+        trainer = _trainer(small_graph)
+        trainer.run_epoch(0)
+        path = tmp_path / "old.npz"
+        save_checkpoint(trainer, path, epoch=1)
+        _rewrite_ec_config(path, halo_buffer_pool=True, exchange_threads=4)
+        state = load_checkpoint(path)
+        assert state["ec_config"] == trainer.config
+        assert restore_trainer(_trainer(small_graph), path) == 1
+
+    def test_unknown_key_still_raises(self, small_graph, tmp_path):
+        trainer = _trainer(small_graph)
+        trainer.run_epoch(0)
+        path = tmp_path / "unknown.npz"
+        save_checkpoint(trainer, path, epoch=1)
+        _rewrite_ec_config(path, not_a_config_field=1)
+        with pytest.raises(CheckpointError, match=str(path)):
+            load_checkpoint(path)
 
 
 class TestAtomicSave:

@@ -33,7 +33,7 @@ class TestGradientsAgainstFiniteDifferences:
         for layer in range(1, num_layers + 1):
             params = {
                 name: trainer.servers.get(name)
-                for name in trainer._layer_params(layer)
+                for name in trainer.engine.backend.layer_param_names(layer)
             }
             halos = [
                 graph.features[s.sub.remote_vertices]
@@ -48,7 +48,7 @@ class TestGradientsAgainstFiniteDifferences:
                     [outputs[state.worker_id], halos[state.worker_id]],
                     axis=0,
                 )
-                cache = trainer._gat_layer_forward(
+                cache = trainer.engine.backend.gat_layer_forward(
                     state.worker_id, h_cat, params, layer,
                     is_last=(layer == num_layers),
                 )
@@ -92,13 +92,13 @@ class TestGradientsAgainstFiniteDifferences:
             original_push(worker, grads)
 
         trainer.servers.push = spy_push
-        trainer._on_epoch_start(0)
-        trainer._forward(0)
+        trainer.engine.halo_plan.run(0)
+        trainer.engine.forward.run(0)
         # Run backward but skip the optimizer update so parameters stay
         # at their initial values for the finite-difference probe.
         original_apply = trainer.servers.apply_updates
         trainer.servers.apply_updates = lambda: None
-        trainer._backward(0)
+        trainer.engine.optimize.run(trainer.engine.backward.run(0))
         trainer.servers.apply_updates = original_apply
 
         name = param_kind
@@ -241,9 +241,9 @@ class TestMultiHead:
             original_push(worker, grads)
 
         trainer.servers.push = spy_push
-        trainer._forward(0)
+        trainer.engine.forward.run(0)
         trainer.servers.apply_updates = lambda: None
-        trainer._backward(0)
+        trainer.engine.optimize.run(trainer.engine.backward.run(0))
 
         fd = TestGradientsAgainstFiniteDifferences()
         rng = np.random.default_rng(0)

@@ -1,4 +1,5 @@
-"""Unit tests for the Neighbor Access Controller exchanges."""
+"""Unit tests for the halo transport (the paper's Neighbor Access
+Controller) exchanges."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from repro.cluster.engine import ClusterRuntime
 from repro.cluster.topology import ClusterSpec
 from repro.core.messages import RawPolicy
-from repro.core.nac import NeighborAccessController
 from repro.core.policies import CompressPolicy
 from repro.core.worker import build_worker_states
+from repro.engine.transport import HaloTransport
 from repro.graph.normalize import gcn_normalize
 from repro.partition.hashing import HashPartitioner
 
@@ -19,7 +20,7 @@ def setup(small_graph):
     partition = HashPartitioner().partition(small_graph.adjacency, 3)
     workers = build_worker_states(small_graph, normalized, partition)
     runtime = ClusterRuntime(ClusterSpec(num_workers=3))
-    nac = NeighborAccessController(runtime, workers, codec_speedup=20.0)
+    nac = HaloTransport(runtime, workers, codec_speedup=20.0)
     return small_graph, workers, runtime, nac
 
 
@@ -140,4 +141,4 @@ class TestValidation:
     def test_invalid_speedup(self, setup):
         graph, workers, runtime, _ = setup
         with pytest.raises(ValueError):
-            NeighborAccessController(runtime, workers, codec_speedup=0)
+            HaloTransport(runtime, workers, codec_speedup=0)

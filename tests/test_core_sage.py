@@ -49,14 +49,14 @@ class TestGradients:
             original_push(worker, grads)
 
         trainer.servers.push = spy_push
-        trainer._forward(0)
+        trainer.engine.forward.run(0)
         trainer.servers.apply_updates = lambda: None
-        trainer._backward(0)
+        trainer.engine.optimize.run(trainer.engine.backward.run(0))
 
         def loss_now():
-            trainer._forward(0)
-            # _forward returns (loss, counters)
-            return trainer._forward(0)[0]
+            trainer.engine.forward.run(0)
+            # forward.run returns (loss, counters)
+            return trainer.engine.forward.run(0)[0]
 
         rng = np.random.default_rng(0)
         eps = 1e-3
@@ -70,9 +70,9 @@ class TestGradients:
                 idx = np.unravel_index(flat, theta.shape)
                 original = theta[idx]
                 theta[idx] = original + eps
-                up = trainer._forward(0)[0]
+                up = trainer.engine.forward.run(0)[0]
                 theta[idx] = original - eps
-                down = trainer._forward(0)[0]
+                down = trainer.engine.forward.run(0)[0]
                 theta[idx] = original
                 numeric = (up - down) / (2 * eps)
                 tolerance = 5e-3 + 0.05 * abs(numeric)

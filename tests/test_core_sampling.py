@@ -79,9 +79,9 @@ class TestSampling:
             config=ECGraphConfig(fp_mode="raw", bp_mode="raw"),
         )
         first = [m.copy() for m in
-                 [trainer._sampled_adj[0][1].indices]]
+                 [trainer.engine.backend.sampled_adj[0][1].indices]]
         trainer.run_epoch(2)
-        second = trainer._sampled_adj[0][1].indices
+        second = trainer.engine.backend.sampled_adj[0][1].indices
         assert not np.array_equal(first[0], second)
 
     def test_offline_keeps_sample_fixed(self, medium_graph):
@@ -89,9 +89,11 @@ class TestSampling:
             medium_graph, fanouts=[4, 4], online=False, epochs=2,
             config=ECGraphConfig(fp_mode="raw", bp_mode="raw"),
         )
-        first = trainer._sampled_adj[0][1].indices.copy()
+        first = trainer.engine.backend.sampled_adj[0][1].indices.copy()
         trainer.run_epoch(2)
-        np.testing.assert_array_equal(first, trainer._sampled_adj[0][1].indices)
+        np.testing.assert_array_equal(
+            first, trainer.engine.backend.sampled_adj[0][1].indices
+        )
 
     def test_online_charges_sampling_traffic(self, medium_graph):
         _, online_run = _sampled(
@@ -111,8 +113,8 @@ class TestSampling:
         full_sums = np.asarray(state.a_local.sum(axis=1)).ravel()
         trials = []
         for _ in range(30):
-            trainer._resample()
-            sampled = trainer._sampled_adj[0][1]
+            trainer.engine.backend.resample()
+            sampled = trainer.engine.backend.sampled_adj[0][1]
             trials.append(np.asarray(sampled.sum(axis=1)).ravel())
         mean_sums = np.mean(trials, axis=0)
         # Unbiased estimator: mean over resamples tracks the full sums.

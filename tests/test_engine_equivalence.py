@@ -263,18 +263,12 @@ class TestFacadeSurface:
     def test_trainer_exposes_engine(self, graph):
         trainer = _build("ecgraph_default", graph)
         trainer.setup()
-        from repro.engine import ExchangeContext, TrainerCore
+        from repro.engine import ExchangeContext, HaloTransport, TrainerCore
 
         assert isinstance(trainer.engine, TrainerCore)
         assert isinstance(trainer.engine.ctx, ExchangeContext)
-        # One shared transport: the facade's NAC is the engine's transport.
-        assert trainer.engine.ctx.transport is trainer.nac
+        # One transport, the paper's NAC, reached through the engine.
+        assert isinstance(trainer.engine.ctx.transport, HaloTransport)
         assert trainer.engine.ctx.fp_policy is trainer._fp_policy
         assert trainer.engine.ctx.bp_policy is trainer._bp_policy
         assert trainer.engine.ctx.tuner is trainer.tuner
-
-    def test_nac_is_the_unified_transport(self, graph):
-        from repro.core.nac import NeighborAccessController
-        from repro.engine.transport import HaloTransport
-
-        assert issubclass(NeighborAccessController, HaloTransport)

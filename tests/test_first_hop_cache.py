@@ -88,7 +88,7 @@ def layer_one_params(monkeypatch):
 
     def install(trainer):
         trainer.setup()
-        backend = trainer._backend
+        backend = trainer.engine.backend
         original = backend.forward_layer
 
         def forward_layer(state, halo, pulled, layer, is_last):
@@ -104,7 +104,7 @@ def layer_one_params(monkeypatch):
 
 def _assert_layer_one_from_scratch(trainer, pulled):
     """Every live worker's layer-1 cache equals a fresh concat + SpMM."""
-    backend = trainer._backend
+    backend = trainer.engine.backend
     config = trainer.config
     checked = 0
     for state in trainer.engine.ctx.active_workers():
@@ -232,7 +232,7 @@ class TestRebuiltAfterReplacement:
             _assert_layer_one_from_scratch(trainer, pulled)
             hops = [state.first_hop_cache for state in trainer.workers]
             adjacencies = [
-                trainer._backend.adjacency(state, 1)
+                trainer.engine.backend.adjacency(state, 1)
                 for state in trainer.workers
             ]
             assert [h.adjacency for h in hops] == adjacencies

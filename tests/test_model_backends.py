@@ -117,12 +117,12 @@ class TestStagedEngineMatchesFacade:
     def test_private_hooks_delegate_to_stages(self, arch, graph):
         trainer = _make_trainer(arch, graph)
         trainer.setup()
-        trainer._on_epoch_start(0)
-        loss, counters = trainer._forward(0)
+        trainer.engine.halo_plan.run(0)
+        loss, counters = trainer.engine.forward.run(0)
         assert np.isfinite(loss)
         assert counters["train"][1] > 0
-        trainer._backward(0)
-        loss2, _ = trainer._forward(1)
+        trainer.engine.optimize.run(trainer.engine.backward.run(0))
+        loss2, _ = trainer.engine.forward.run(1)
         assert np.isfinite(loss2) and loss2 != loss
 
 
@@ -182,7 +182,7 @@ class TestCorruptCheckpointFallback:
         # Torn write: the newest checkpoint lands unreadable on disk.
         (tmp_path / "latest.npz").write_bytes(b"not a checkpoint")
 
-        assert trainer._restore_latest_checkpoint() is True
+        assert trainer.engine.recovery.restore_latest_checkpoint() is True
         assert trainer.fault_counters.corrupt_checkpoints == 1
 
         previous = load_checkpoint(tmp_path / "previous.npz")
@@ -193,12 +193,12 @@ class TestCorruptCheckpointFallback:
         trainer = self._crashy_trainer(graph, tmp_path)
         trainer.run_epoch(0)
         trainer.run_epoch(1)
-        snapshot_epoch, snapshot = trainer._param_snapshot
+        snapshot_epoch, snapshot = trainer.engine.recovery.param_snapshot
         assert snapshot_epoch == 2
         (tmp_path / "latest.npz").write_bytes(b"garbage")
         (tmp_path / "previous.npz").write_bytes(b"garbage")
 
-        assert trainer._restore_latest_checkpoint() is True
+        assert trainer.engine.recovery.restore_latest_checkpoint() is True
         assert trainer.fault_counters.corrupt_checkpoints == 2
         for name, value in snapshot.items():
             np.testing.assert_array_equal(trainer.servers.get(name), value)
@@ -218,7 +218,7 @@ class TestCorruptCheckpointFallback:
         )
         trainer.run_epoch(0)
         (tmp_path / "latest.npz").write_bytes(b"garbage")
-        assert trainer._restore_latest_checkpoint() is True
+        assert trainer.engine.recovery.restore_latest_checkpoint() is True
         snapshot = trainer.obs.metrics.snapshot()
         assert snapshot.counter_total("fault_checkpoint_corrupt") == 1
 

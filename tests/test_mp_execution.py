@@ -5,21 +5,20 @@ Bit-identity against the sync goldens lives in
 module covers everything else the process backend must get right:
 shared-memory hygiene (no ``/dev/shm`` residue, even after a worker is
 SIGKILLed mid-run), idempotent teardown, real-process crash recovery,
-backpressure with payloads larger than a pipe buffer, the one-time GIL
-warning for the thread fan-out, and the elastic-membership gate.
+backpressure with payloads larger than a pipe buffer, teardown when an
+epoch fails, and the elastic-membership gate.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import warnings
 
 import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.core.config import ECGraphConfig, ModelConfig
-from repro.core.trainer import ECGraphTrainer, _reset_thread_warning
+from repro.core.trainer import ECGraphTrainer
 from repro.faults.config import FaultConfig
 from repro.graph.generators import GraphSpec, generate_graph
 
@@ -87,6 +86,37 @@ class TestSharedMemoryHygiene:
         assert _shm_entries(store.token) == []
 
 
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestFailingEpochTeardown:
+    def test_exception_mid_epoch_reaps_workers_and_unlinks(self, graph):
+        # TrainerCore.run_epoch shuts the executor down on any exception,
+        # so a failing epoch strands neither processes nor segments.
+        trainer = _mp_trainer(graph)
+        trainer.run_epoch(0)
+        executor = trainer.engine.ctx.executor
+        token = executor.store.token
+        pids = list(executor.worker_pids.values())
+        assert pids and all(_alive(pid) for pid in pids)
+        assert _shm_entries(token), "expected live segments during training"
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("injected mid-epoch failure")
+
+        trainer.engine.backward.run = explode
+        with pytest.raises(RuntimeError, match="injected"):
+            trainer.run_epoch(1)
+        assert [pid for pid in pids if _alive(pid)] == []
+        assert _shm_entries(token) == []
+        trainer.close()  # idempotent after the failure teardown
+
+
 class TestCrashRecovery:
     def test_crash_respawns_a_fresh_process(self, graph):
         trainer = _mp_trainer(graph)
@@ -142,39 +172,6 @@ class TestBackpressure:
 
 
 class TestThreadWarningAndGates:
-    def test_gil_thread_warning_emitted_once(self, graph):
-        _reset_thread_warning()
-        first = ECGraphTrainer(
-            graph, ModelConfig(num_layers=2, hidden_dim=16),
-            ClusterSpec(num_workers=3, num_servers=1),
-            ECGraphConfig(seed=0, exchange_threads=4),
-        )
-        with pytest.warns(RuntimeWarning, match="GIL"):
-            first.setup()
-        first.close()
-
-        second = ECGraphTrainer(
-            graph, ModelConfig(num_layers=2, hidden_dim=16),
-            ClusterSpec(num_workers=3, num_servers=1),
-            ECGraphConfig(seed=0, exchange_threads=4),
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            second.setup()
-        second.close()
-        assert [w for w in caught if w.category is RuntimeWarning] == []
-
-    def test_multiprocess_forces_serial_exchange(self, graph):
-        _reset_thread_warning()
-        trainer = _mp_trainer(graph, exchange_threads=4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            trainer.setup()
-        try:
-            assert [w for w in caught if w.category is RuntimeWarning] == []
-        finally:
-            trainer.close()
-
     def test_elastic_membership_is_rejected(self, graph):
         trainer = _mp_trainer(
             graph, faults=FaultConfig(elastic=True)
